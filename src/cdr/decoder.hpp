@@ -81,8 +81,12 @@ class Decoder {
 
   /// Zero-copy octet-sequence read; same lifetime rule as
   /// read_string_view().
-  util::BytesView read_bytes_view() {
-    const std::uint32_t n = read_u32();
+  util::BytesView read_bytes_view() { return read_raw_view(read_u32()); }
+
+  /// Zero-copy read of `n` raw octets (no length prefix); same lifetime
+  /// rule as read_string_view(). Bulk sequence unmarshaling reads a whole
+  /// fixed-width element array through this.
+  util::BytesView read_raw_view(std::size_t n) {
     require(n);
     const util::BytesView v = data_.subspan(pos_, n);
     pos_ += n;

@@ -78,15 +78,18 @@ std::optional<orb::ReplyMessage> ActualityMediator::try_local(
     const orb::RequestMessage& req, const orb::ObjRef& target) {
   (void)target;
   if (!cacheable(req.operation)) return std::nullopt;
-  auto it = cache_.find(cache_key(req));
+  std::string key = cache_key(req);
+  auto it = cache_.find(key);
   if (it == cache_.end()) {
     ++misses_;
+    note_pending(req.request_id, std::move(key));
     return std::nullopt;
   }
   const sim::Duration age = loop_.now() - it->second.server_timestamp;
   if (age > max_age_) {
     cache_.erase(it);
     ++misses_;
+    note_pending(req.request_id, std::move(key));
     return std::nullopt;
   }
   ++hits_;
@@ -97,21 +100,36 @@ std::optional<orb::ReplyMessage> ActualityMediator::try_local(
   return rep;
 }
 
+void ActualityMediator::note_pending(std::uint64_t request_id,
+                                     std::string key) {
+  pending_.insert_or_assign(request_id, std::move(key));
+  if (pending_.size() > kMaxPending) pending_.erase(pending_.begin());
+}
+
 void ActualityMediator::inbound(const orb::RequestMessage& req,
                                 orb::ReplyMessage& rep) {
-  if (rep.status != orb::ReplyStatus::kOk) return;
+  if (rep.status != orb::ReplyStatus::kOk) {
+    pending_.erase(req.request_id);
+    return;
+  }
   if (!cacheable(req.operation)) {
     // Writes invalidate: the server state may have changed.
     cache_.clear();
     return;
   }
+  // `req` is the request as it left the client, after any later
+  // mediator's transforms; the key is the plaintext one try_local() kept.
+  auto pending = pending_.find(req.request_id);
+  if (pending == pending_.end()) return;
+  std::string key = std::move(pending->second);
+  pending_.erase(pending);
   auto stamp = rep.context.find(actuality_timestamp_key());
   sim::TimePoint server_time = loop_.now();
   if (stamp != rep.context.end()) {
     cdr::Decoder dec{util::BytesView(stamp->second)};
     server_time = dec.read_i64();
   }
-  cache_[cache_key(req)] = CacheEntry{rep, server_time};
+  cache_[std::move(key)] = CacheEntry{rep, server_time};
 }
 
 cdr::Any ActualityMediator::qos_operation(const std::string& op,

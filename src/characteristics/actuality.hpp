@@ -17,6 +17,12 @@
 // max_age_ms as agreed, "normal" 4x and "loose" 16x. Degrading relaxes
 // actuality — more cache hits, fewer server round trips — which is how
 // this characteristic gives resources back under pressure.
+//
+// Cache keys are always computed on the plaintext request: try_local()
+// runs before any outbound transform, and inbound() files the reply under
+// the key try_local() remembered for that request id, so payload
+// transforms woven after Actuality (compression, encryption) never leak
+// their sealed, nonce-dependent bodies into the key.
 #pragma once
 
 #include <map>
@@ -50,6 +56,8 @@ class ActualityMediator final : public core::Mediator {
                orb::ReplyMessage& rep) override;
   cdr::Any qos_operation(const std::string& op,
                          const std::vector<cdr::Any>& args) override;
+  /// inbound() correlates on the request id and operation alone.
+  bool needs_request_payload() const override { return false; }
 
   std::uint64_t cache_hits() const noexcept { return hits_; }
   std::uint64_t cache_misses() const noexcept { return misses_; }
@@ -66,11 +74,19 @@ class ActualityMediator final : public core::Mediator {
   };
   bool cacheable(const std::string& operation) const;
   static std::string cache_key(const orb::RequestMessage& req);
+  /// Remembers the plaintext key of a cacheable read sent to the server.
+  void note_pending(std::uint64_t request_id, std::string key);
+
+  /// Bound on remembered keys: replies that never come back (timeouts,
+  /// abandoned calls) must not grow the map. Ids are monotonic, so the
+  /// smallest is the oldest and goes first.
+  static constexpr std::size_t kMaxPending = 1024;
 
   sim::EventLoop& loop_;
   sim::Duration max_age_ = 0;
   std::set<std::string> cacheable_ops_;
   std::map<std::string, CacheEntry> cache_;
+  std::map<std::uint64_t, std::string> pending_;  // request id -> key
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   sim::Duration last_staleness_ = 0;

@@ -201,8 +201,9 @@ void CompressionTransform::forward(core::ChainBuf& buf,
   // incompressible fallback needs no second allocation.
   std::span<std::uint8_t> region =
       buf.arena().allocate(reserve + 1 + std::max(bound, n));
-  const std::size_t written = codec->compress_into(
-      buf.view(), {region.data() + reserve + 1, bound});
+  // Any output of n or more octets ships raw, so the codec may stop there.
+  const std::size_t written = codec->compress_until(
+      buf.view(), {region.data() + reserve + 1, bound}, n);
   if (written >= n) {
     // Incompressible: ship raw (bounded worst case), same decision as the
     // legacy frame() which compared compressed.size() >= payload.size().

@@ -19,6 +19,13 @@ std::size_t Codec::compress_into(util::BytesView input,
   return compressed.size();
 }
 
+std::size_t Codec::compress_until(util::BytesView input,
+                                  std::span<std::uint8_t> out,
+                                  std::size_t limit) const {
+  (void)limit;
+  return compress_into(input, out);
+}
+
 void Codec::decompress_append(util::BytesView input, util::Bytes& out) const {
   const util::Bytes plain = decompress(input);
   out.insert(out.end(), plain.begin(), plain.end());

@@ -55,6 +55,16 @@ class Codec {
   virtual std::size_t compress_into(util::BytesView input,
                                     std::span<std::uint8_t> out) const;
 
+  /// compress_into() for callers that discard any output of `limit` or
+  /// more octets (the compression stage ships such payloads raw). The
+  /// codec may stop as soon as its output reaches `limit`: a result
+  /// >= limit then means "not worth it", and `out` holds no valid stream.
+  /// A result below `limit` is exactly compress_into()'s stream. Default:
+  /// compress_into().
+  virtual std::size_t compress_until(util::BytesView input,
+                                     std::span<std::uint8_t> out,
+                                     std::size_t limit) const;
+
   /// Decompresses `input`, appending to `out` (existing content is
   /// preserved; back-references never reach across the append point).
   /// Default bridges through the one-shot decompress().

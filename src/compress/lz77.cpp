@@ -25,6 +25,12 @@ constexpr std::size_t kMaxInsert = 8;
 // newest candidate already yields a near-maximal match, and the remaining
 // probes are the bulk of the search cost.
 constexpr std::size_t kGoodEnough = 64;
+// Skip-ahead on unmatched input (the Snappy/LZ4 heuristic): after every
+// kSkipDivisor consecutive positions without a match the parser steps one
+// byte further, so an incompressible run costs a few hash probes per
+// kSkipDivisor bytes instead of a chain walk per byte. Any match resets
+// the step to 1.
+constexpr std::size_t kSkipDivisor = 32;
 
 /// Length of the common prefix of a and b, capped at limit (word-wise).
 std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
@@ -152,6 +158,7 @@ std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,
 
   std::size_t literal_start = 0;
   std::size_t i = 0;
+  std::size_t misses = 0;  // consecutive unmatched probes
   while (i + kMinMatch <= n) {
     const std::uint32_t h = hash3(input.data() + i);
     std::size_t best_len = 0;
@@ -204,10 +211,11 @@ std::size_t Lz77Codec::try_compress(util::BytesView input, std::uint8_t* out,
       }
       i = match_end;
       literal_start = i;
+      misses = 0;
     } else {
       chain_[(base + i) % kChainSize] = head_[h];
       head_[h] = base + static_cast<std::uint32_t>(i) + 1;
-      ++i;
+      i += 1 + misses++ / kSkipDivisor;
     }
   }
   if (!flush_literals(literal_start, n)) return cap;

@@ -5,7 +5,9 @@
 //   0x01 offset:u16 len:u16               -- back-reference, offset >= 1,
 //                                            len >= kMinMatch, may overlap
 // Window size 64 KiB (offset is u16). Greedy parse; match finder keeps
-// hash chains over 3-byte prefixes, bounded probe depth.
+// hash chains over 3-byte prefixes, bounded probe depth. Unmatched
+// stretches are probed sparsely: the parser advances 1 + misses/32 bytes
+// after `misses` consecutive unmatched positions and resets on a match.
 //
 // Worst-case expansion is bounded: whenever the greedy token stream would
 // reach the stored form's size, compress emits the stored form instead

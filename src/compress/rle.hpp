@@ -2,7 +2,9 @@
 //
 // Format: a stream of (count:u8, byte) pairs for runs of length >= 1;
 // count is the run length (1..255). Chosen for simplicity and worst-case
-// predictability: expansion is bounded at 2x.
+// predictability: expansion is bounded at 2x. compress_until() gives up
+// once the output reaches its limit, so a caller that ships such inputs
+// raw pays for at most `limit` octets of encoding.
 #pragma once
 
 #include "compress/codec.hpp"
@@ -19,6 +21,9 @@ class RleCodec final : public Codec {
   std::size_t max_compressed_size(std::size_t n) const override;
   std::size_t compress_into(util::BytesView input,
                             std::span<std::uint8_t> out) const override;
+  std::size_t compress_until(util::BytesView input,
+                             std::span<std::uint8_t> out,
+                             std::size_t limit) const override;
   void decompress_append(util::BytesView input,
                          util::Bytes& out) const override;
 };

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "characteristics/compression.hpp"
+#include "characteristics/encryption.hpp"
+
 #include "core/negotiation.hpp"
 #include "net/network.hpp"
 #include "support/qos_echo.hpp"
@@ -201,6 +204,65 @@ TEST_F(ActualityTest, RenegotiationClearsCache) {
                           {"cacheable_ops", cdr::Any::from_string("value")}});
   stub.value();  // cache was cleared by rebinding
   EXPECT_GT(servant_->calls, calls);
+}
+
+TEST_F(ActualityTest, CacheKeysOnPlaintextUnderCompressionAndEncryption) {
+  // The recommended weaving order: the payload transforms sit after the
+  // cache, so the request leaves the client sealed under a nonce bound to
+  // its request id. The reply must still be filed under the plaintext key.
+  core::ProviderRegistry providers;
+  providers.add(make_actuality_provider());
+  providers.add(make_compression_provider());
+  providers.add(make_encryption_psk_provider());
+  resources_.declare("bandwidth", 1000.0);
+  core::NegotiationService negotiation(server_transport_, providers,
+                                       resources_);
+  core::Negotiator negotiator(client_transport_, providers);
+
+  auto servant = std::make_shared<QosEchoImpl>();
+  std::vector<orb::QosProfile> profiles;
+  for (const core::CharacteristicDescriptor& d :
+       {actuality_descriptor(), compression_descriptor(),
+        encryption_descriptor()}) {
+    servant->assign_characteristic(d);
+    orb::QosProfile profile;
+    profile.characteristic = d.name();
+    profiles.push_back(profile);
+  }
+  EchoStub stub(client_,
+                server_.adapter().activate("woven", servant, profiles));
+  negotiator.negotiate(
+      stub, actuality_name(),
+      {{"max_age_ms", cdr::Any::from_long(100000)},
+       {"cacheable_ops", cdr::Any::from_string("value")}});
+  negotiator.negotiate(stub, compression_name(),
+                       {{"algorithm", cdr::Any::from_string("lz77")}});
+  negotiator.negotiate(stub, encryption_name(),
+                       {{"psk", cdr::Any::from_string("actuality-test")}});
+  auto composite =
+      std::dynamic_pointer_cast<core::CompositeMediator>(stub.mediator());
+  ASSERT_EQ(composite->size(), 3u);
+  auto cache = std::dynamic_pointer_cast<ActualityMediator>(
+      composite->find(actuality_name()));
+  ASSERT_NE(cache, nullptr);
+
+  stub.set_value(7);
+  EXPECT_EQ(stub.value(), 7);  // miss, fills the cache
+  const std::int64_t hits_before =
+      cache->qos_operation("qos_cache_hits", {}).as_longlong();
+  const int calls_after_fill = servant->calls;
+  net_.reset_stats();
+  EXPECT_EQ(stub.value(), 7);  // served locally
+  EXPECT_EQ(cache->qos_operation("qos_cache_hits", {}).as_longlong(),
+            hits_before + 1);
+  EXPECT_EQ(net_.stats().messages_sent, 0u);
+  EXPECT_EQ(servant->calls, calls_after_fill);
+
+  stub.set_value(8);  // a write invalidates
+  EXPECT_EQ(stub.value(), 8);
+  EXPECT_EQ(cache->cache_hits(), static_cast<std::uint64_t>(hits_before + 1));
+  EXPECT_EQ(stub.value(), 8);  // refilled under the plaintext key
+  EXPECT_EQ(cache->cache_hits(), static_cast<std::uint64_t>(hits_before + 2));
 }
 
 }  // namespace

@@ -123,6 +123,67 @@ TEST(Rle, RejectsZeroRun) {
   EXPECT_THROW(codec.decompress(Bytes{0, 0x41}), CodecError);
 }
 
+TEST(Rle, OneShotStreamIsPinned) {
+  // The (count, byte) stream of compress() is part of the wire format:
+  // runs split at 255, single bytes cost a pair.
+  RleCodec codec;
+  Bytes in = {'a', 'a', 'a', 'b', 'c', 'c'};
+  in.insert(in.end(), 300, 0x7F);
+  Bytes expected = {3, 'a', 1, 'b', 2, 'c', 255, 0x7F, 45, 0x7F};
+  EXPECT_EQ(codec.compress(in), expected);
+  // Incompressible input still encodes in full on the one-shot path.
+  const Bytes noise = random_bytes(1000, 4);
+  const Bytes packed = codec.compress(noise);
+  EXPECT_GE(packed.size(), noise.size());
+  EXPECT_EQ(codec.decompress(packed), noise);
+}
+
+TEST(Rle, CompressUntilStopsOnceOutputReachesLimit) {
+  // The compression stage ships any output of n or more octets raw, so
+  // RLE stops encoding there: at most one pair past the limit is written.
+  RleCodec codec;
+  const Bytes noise = random_bytes(4096, 8);
+  Bytes out(codec.max_compressed_size(noise.size()), 0xEE);
+  const std::size_t written = codec.compress_until(noise, out, noise.size());
+  EXPECT_GE(written, noise.size());
+  EXPECT_LE(written, noise.size() + 2);
+  for (std::size_t i = noise.size() + 2; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], 0xEE) << "wrote past the limit at " << i;
+  }
+}
+
+TEST(Rle, CompressUntilBelowLimitMatchesCompress) {
+  RleCodec codec;
+  Bytes in;
+  for (int run = 1; run < 40; ++run) {
+    in.insert(in.end(), static_cast<std::size_t>(run * 7),
+              static_cast<std::uint8_t>(run));
+  }
+  const Bytes via_compress = codec.compress(in);
+  ASSERT_LT(via_compress.size(), in.size());
+  Bytes out(codec.max_compressed_size(in.size()));
+  const std::size_t written = codec.compress_until(in, out, in.size());
+  out.resize(written);
+  EXPECT_EQ(out, via_compress);
+  Bytes small(1);
+  EXPECT_THROW(codec.compress_until(in, small, in.size()), CodecError);
+}
+
+TEST(Rle, DecompressAppendFillsRunsAfterExistingContent) {
+  RleCodec codec;
+  Bytes out = {'x', 'y'};
+  codec.decompress_append(Bytes{3, 'a', 255, 0, 1, 'b'}, out);
+  Bytes expected = {'x', 'y', 'a', 'a', 'a'};
+  expected.insert(expected.end(), 255, 0);
+  expected.push_back('b');
+  EXPECT_EQ(out, expected);
+  // A zero run anywhere rejects the stream before anything is appended.
+  Bytes untouched = {'k'};
+  EXPECT_THROW(codec.decompress_append(Bytes{2, 'a', 0, 'b'}, untouched),
+               CodecError);
+  EXPECT_EQ(untouched, Bytes{'k'});
+}
+
 TEST(Lz77, CompressesRepetitiveTextWell) {
   Lz77Codec codec;
   const Bytes in = compressible_bytes(50000, 3);

@@ -8,6 +8,9 @@
 //      frames open to the identity and reject any single-bit tamper.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "compress/codec.hpp"
 #include "compress/lz77.hpp"
 #include "crypto/mac.hpp"
@@ -28,8 +31,11 @@ util::Bytes mixed_payload(util::Rng& rng, std::size_t size,
   return out;
 }
 
+// The codec name is a std::string, not a const char*: gtest prints a
+// char pointer with its address, which would put a different address
+// into every discovered ctest name.
 class CodecGridP
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(CodecGridP, RoundTripAcrossSizeRedundancyGrid) {
   const auto codec = compress::make_codec(std::get<0>(GetParam()));
@@ -46,7 +52,9 @@ TEST_P(CodecGridP, RoundTripAcrossSizeRedundancyGrid) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, CodecGridP,
-    ::testing::Combine(::testing::Values("identity", "rle", "lz77"),
+    ::testing::Combine(::testing::Values(std::string("identity"),
+                                         std::string("rle"),
+                                         std::string("lz77")),
                        ::testing::Values(1, 2, 3)));
 
 class Lz77TotalityP : public ::testing::TestWithParam<std::uint64_t> {};
