@@ -19,9 +19,9 @@ cmake --build build-release -j "$(nproc)" --target maqs_bench
 ./build-release/bench/bench_f2_weaving
 ./build-release/bench/bench_f3_dispatch
 
-# Hard gate: the streaming pipeline's allocation budget (plain add <= 8,
-# woven add <= 12 allocs/request) and throughput floors (woven blob4k
-# >= 100k req/s). Fails the run on regression.
+# Hard gate: the per-row allocation budgets (plain add <= 1, woven add
+# <= 3.5, gateway json add <= 7 allocs/request) and throughput floors
+# (woven blob4k >= 100k req/s). Fails the run on regression.
 ./scripts/check_alloc_budget.sh BENCH_hotpath.json
 
 echo "wrote $(pwd)/BENCH_hotpath.json"

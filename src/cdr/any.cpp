@@ -1,5 +1,7 @@
 #include "cdr/any.hpp"
 
+#include <algorithm>
+
 #include "cdr/decoder.hpp"
 #include "cdr/encoder.hpp"
 
@@ -232,7 +234,9 @@ Any Any::decode_value(Decoder& dec, const TypeCodePtr& type) {
     case TCKind::kSequence: {
       const std::uint32_t n = dec.read_u32();
       std::vector<Any> items;
-      items.reserve(n);
+      // The count is peer input: never reserve more elements than the
+      // stream has octets left (a short stream then underflows mid-loop).
+      items.reserve(std::min<std::size_t>(n, dec.remaining()));
       for (std::uint32_t i = 0; i < n; ++i) {
         items.push_back(decode_value(dec, type->element()));
       }

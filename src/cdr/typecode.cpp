@@ -211,7 +211,13 @@ void TypeCode::encode(Encoder& enc) const {
   }
 }
 
-TypeCodePtr TypeCode::decode(Decoder& dec) {
+TypeCodePtr TypeCode::decode(Decoder& dec) { return decode_nested(dec, 0); }
+
+TypeCodePtr TypeCode::decode_nested(Decoder& dec, int depth) {
+  if (depth > kMaxDecodeDepth) {
+    throw CdrError("typecode: nesting deeper than " +
+                   std::to_string(kMaxDecodeDepth));
+  }
   const auto raw = dec.read_u8();
   if (raw > static_cast<std::uint8_t>(TCKind::kObjRef)) {
     throw CdrError("typecode: bad kind octet");
@@ -219,21 +225,31 @@ TypeCodePtr TypeCode::decode(Decoder& dec) {
   const TCKind kind = static_cast<TCKind>(raw);
   switch (kind) {
     case TCKind::kSequence:
-      return sequence_tc(decode(dec));
+      return sequence_tc(decode_nested(dec, depth + 1));
     case TCKind::kStruct: {
       std::string name = dec.read_string();
+      // Counts are peer input: each member takes at least a name length
+      // and a kind octet, so a count the stream cannot hold is rejected
+      // before anything is reserved.
       const std::uint32_t n = dec.read_u32();
+      if (n > dec.remaining() / 5) {
+        throw CdrError("typecode: member count exceeds the stream");
+      }
       std::vector<std::pair<std::string, TypeCodePtr>> members;
       members.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
         std::string member_name = dec.read_string();
-        members.emplace_back(std::move(member_name), decode(dec));
+        members.emplace_back(std::move(member_name),
+                             decode_nested(dec, depth + 1));
       }
       return struct_tc(std::move(name), std::move(members));
     }
     case TCKind::kEnum: {
       std::string name = dec.read_string();
       const std::uint32_t n = dec.read_u32();
+      if (n > dec.remaining() / 4) {  // one length prefix per enumerator
+        throw CdrError("typecode: enumerator count exceeds the stream");
+      }
       std::vector<std::string> enumerators;
       enumerators.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {

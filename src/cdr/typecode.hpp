@@ -86,7 +86,12 @@ class TypeCode {
 
   // ---- marshaling (for self-describing Anys) ----
   void encode(Encoder& enc) const;
+  /// Throws CdrError on malformed input, including nesting deeper than
+  /// kMaxDecodeDepth (the wire form is recursive; the bound keeps a
+  /// hostile run of sequence octets from exhausting the stack).
   static TypeCodePtr decode(Decoder& dec);
+
+  static constexpr int kMaxDecodeDepth = 64;
 
  protected:
   // Construct through the factories; protected so the factory helpers can
@@ -94,6 +99,8 @@ class TypeCode {
   explicit TypeCode(TCKind kind) : kind_(kind) {}
 
  private:
+  static TypeCodePtr decode_nested(Decoder& dec, int depth);
+
   TCKind kind_;
   std::string name_;
   TypeCodePtr element_;

@@ -1,8 +1,10 @@
 #include "gateway/gateway.hpp"
 
+#include <array>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <iterator>
 
 #include "cdr/decoder.hpp"
 #include "cdr/encoder.hpp"
@@ -44,22 +46,28 @@ std::optional<std::uint64_t> parse_hex_id(std::string_view s) {
   return value;
 }
 
-std::string hex_id(std::uint64_t id) {
-  char buf[20];
+/// The 16 lowercase hex digits of `id`, written into `buf`.
+std::string_view hex_id(std::uint64_t id, char (&buf)[20]) {
   std::snprintf(buf, sizeof buf, "%016" PRIx64, id);
-  return buf;
+  return {buf, 16};
+}
+
+/// Decimal text of `value`, written into `buf`.
+template <typename Int>
+std::string_view decimal(Int value, char (&buf)[24]) {
+  return {buf, std::to_chars(std::begin(buf), std::end(buf), value).ptr};
 }
 
 /// Structured fault body: {"error":{"status":N,"code":...,"detail":...}}.
-std::string fault_body(int status, std::string_view code,
-                       std::string_view detail) {
-  JsonObject error;
-  error.emplace_back("status", JsonValue(static_cast<std::int64_t>(status)));
-  error.emplace_back("code", JsonValue(std::string(code)));
-  error.emplace_back("detail", JsonValue(std::string(detail)));
-  JsonObject root;
-  root.emplace_back("error", JsonValue(std::move(error)));
-  return write_json(JsonValue(std::move(root)));
+void write_fault_body(std::string& out, int status, std::string_view code,
+                      std::string_view detail) {
+  out.assign("{\"error\":{\"status\":");
+  out += std::to_string(status);
+  out += ",\"code\":";
+  write_json_string(code, out);
+  out += ",\"detail\":";
+  write_json_string(detail, out);
+  out += "}}";
 }
 
 bool wants_multipart(const HttpRequest& req) {
@@ -132,29 +140,23 @@ void Gateway::on_payload(const net::Address& from,
 
 void Gateway::drain(const net::Address& from, const ConnectionPtr& conn) {
   conn->handling = true;
-  HttpRequest req;
   for (;;) {
-    const HttpParser::Result result = conn->parser.poll(req);
+    const HttpParser::Result result = conn->parser.poll(conn->request);
     if (result == HttpParser::Result::kNeedMore) break;
     if (result == HttpParser::Result::kError) {
       // Framing violation: answer 400 once, then drop the connection —
       // never crash, never hang, never ignore.
       ++stats_.malformed;
       ++stats_.bad_request;
-      HttpResponse resp;
-      resp.status = 400;
-      resp.set_header("content-type", "application/json");
-      const std::string body =
-          fault_body(400, "maqs/BAD_REQUEST", conn->parser.error());
-      resp.body.assign(body.begin(), body.end());
-      resp.close_connection = true;
-      orb_.network().send(listen_, from, resp.encode());
+      write_fault_body(conn->text, 400, "maqs/BAD_REQUEST",
+                       conn->parser.error());
+      send_json(from, 400, conn->text, /*close_connection=*/true, 0);
       conn->closed = true;
       break;
     }
     ++stats_.requests;
-    handle(from, req);
-    if (conn->closed || !req.keep_alive) {
+    handle(from, *conn);
+    if (conn->closed || !conn->request.keep_alive) {
       conn->closed = true;
       break;
     }
@@ -183,86 +185,112 @@ void Gateway::count_status(int status) {
   }
 }
 
-void Gateway::send_response(const net::Address& from, const HttpRequest& req,
-                            HttpResponse&& resp, std::uint64_t trace_id) {
-  count_status(resp.status);
-  if (trace_id != 0) resp.set_header(kTraceHeader, hex_id(trace_id));
-  if (resp.status == 503) {
-    resp.set_header("retry-after",
-                    std::to_string(config_.retry_after_seconds));
+void Gateway::send_json(const net::Address& from, int status,
+                        std::string_view body, bool close_connection,
+                        std::uint64_t trace_id) {
+  std::array<HeaderView, 3> headers;
+  std::size_t n = 0;
+  headers[n++] = {"content-type", "application/json"};
+  char trace_text[20];
+  if (trace_id != 0) {
+    headers[n++] = {kTraceHeader, hex_id(trace_id, trace_text)};
   }
-  resp.close_connection = !req.keep_alive;
-  orb_.network().send(listen_, from, resp.encode());
+  char retry_text[24];
+  if (status == 503) {
+    headers[n++] = {"retry-after",
+                    decimal(config_.retry_after_seconds, retry_text)};
+  }
+  const util::BytesView bytes(
+      reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
+  orb_.network().send(listen_, from,
+                      encode_response(status, {headers.data(), n}, bytes,
+                                      close_connection));
 }
 
-void Gateway::send_fault(const net::Address& from, const HttpRequest& req,
+void Gateway::send_fault(const net::Address& from, Connection& conn,
                          int status, std::string_view code,
                          std::string_view detail, std::uint64_t trace_id) {
-  HttpResponse resp;
-  resp.status = status;
-  resp.set_header("content-type", "application/json");
-  const std::string body = fault_body(status, code, detail);
-  resp.body.assign(body.begin(), body.end());
-  send_response(from, req, std::move(resp), trace_id);
+  count_status(status);
+  write_fault_body(conn.text, status, code, detail);
+  send_json(from, status, conn.text, !conn.request.keep_alive, trace_id);
 }
 
-void Gateway::send_mtom_response(const net::Address& from,
-                                 const HttpRequest& req,
-                                 std::string_view root_json,
+void Gateway::send_mtom_response(const net::Address& from, Connection& conn,
                                  util::BytesView blob,
                                  std::uint64_t trace_id) {
   ++stats_.mtom_parts_out;
   count_status(200);
-  const std::string cid = "r" + std::to_string(next_cid_++);
-  const std::string boundary = "maqs-" + cid;
+  char cid_digits[24];
+  const std::string_view cid_number = decimal(next_cid_++, cid_digits);
 
-  // Container layout, sized exactly so the whole response frame is
-  // assembled in one borrowed arena region: the blob part is copied once,
-  // straight off the reply buffer, and the HTTP head is prepended into
-  // headroom — the ChainBuf materializes directly into the wire frame.
-  const std::string root_head =
-      "--" + boundary + "\r\ncontent-type: application/json\r\n\r\n";
-  const std::string blob_head = "--" + boundary + "\r\ncontent-id: <" + cid +
-                                ">\r\ncontent-type: "
-                                "application/octet-stream\r\n\r\n";
-  const std::string closing = "--" + boundary + "--\r\n";
-  const std::size_t container_size = root_head.size() + root_json.size() + 2 +
-                                     blob_head.size() + blob.size() + 2 +
-                                     closing.size();
+  // Container layout, sized exactly so the head and the container are
+  // written straight into one pooled frame: the blob part is copied once,
+  // off the reply buffer.
+  //   --maqs-rN CRLF content-type: application/json CRLF CRLF
+  //   {"result":{"$blob":"cid:rN"}} CRLF
+  //   --maqs-rN CRLF content-id: <rN> CRLF content-type: ... CRLF CRLF
+  //   <blob> CRLF
+  //   --maqs-rN-- CRLF
+  constexpr std::string_view kRootType =
+      "\r\ncontent-type: application/json\r\n\r\n";
+  constexpr std::string_view kRootOpen = "{\"result\":{\"$blob\":\"cid:r";
+  constexpr std::string_view kRootClose = "\"}}\r\n";
+  constexpr std::string_view kCidOpen = "\r\ncontent-id: <r";
+  constexpr std::string_view kBlobType =
+      ">\r\ncontent-type: application/octet-stream\r\n\r\n";
+  const std::size_t delimiter = 2 + 6 + cid_number.size();  // --maqs-rN
+  const std::size_t container_size =
+      delimiter + kRootType.size() + kRootOpen.size() + cid_number.size() +
+      kRootClose.size() + delimiter + kCidOpen.size() + cid_number.size() +
+      kBlobType.size() + blob.size() + 2 + delimiter + 4;
 
-  std::string head = "HTTP/1.1 200 OK\r\ncontent-type: multipart/related; "
-                     "boundary=" +
-                     boundary + "; type=\"application/json\"\r\n";
-  if (trace_id != 0) head += "x-trace-id: " + hex_id(trace_id) + "\r\n";
-  head += "content-length: " + std::to_string(container_size) + "\r\n";
-  if (!req.keep_alive) head += "connection: close\r\n";
+  std::string& head = conn.text;
+  head.assign(
+      "HTTP/1.1 200 OK\r\ncontent-type: multipart/related; "
+      "boundary=maqs-r");
+  head += cid_number;
+  head += "; type=\"application/json\"\r\n";
+  if (trace_id != 0) {
+    char trace_text[20];
+    head += "x-trace-id: ";
+    head += hex_id(trace_id, trace_text);
+    head += "\r\n";
+  }
+  char length_digits[24];
+  head += "content-length: ";
+  head += decimal(container_size, length_digits);
+  head += "\r\n";
+  if (!conn.request.keep_alive) head += "connection: close\r\n";
   head += "\r\n";
 
-  arena_.reset();
-  const std::span<std::uint8_t> region =
-      arena_.allocate(head.size() + container_size);
-  std::uint8_t* cursor = region.data() + head.size();
-  auto put = [&cursor](const void* data, std::size_t n) {
-    std::memcpy(cursor, data, n);
-    cursor += n;
+  util::Bytes frame =
+      util::BufferPool::instance().acquire(head.size() + container_size);
+  auto put = [&frame](std::string_view text) {
+    frame.insert(frame.end(), text.begin(), text.end());
   };
-  put(root_head.data(), root_head.size());
-  put(root_json.data(), root_json.size());
-  put("\r\n", 2);
-  put(blob_head.data(), blob_head.size());
-  put(blob.data(), blob.size());
-  put("\r\n", 2);
-  put(closing.data(), closing.size());
-
-  core::ChainBuf buf(arena_, 0);
-  buf.adopt(region, head.size(), container_size);
-  std::memcpy(buf.prepend(head.size()), head.data(), head.size());
-  util::Bytes frame = util::BufferPool::instance().acquire(region.size());
-  buf.materialize_into(frame);
+  auto put_delimiter = [&] {
+    put("--maqs-r");
+    put(cid_number);
+  };
+  put(head);
+  put_delimiter();
+  put(kRootType);
+  put(kRootOpen);
+  put(cid_number);
+  put(kRootClose);
+  put_delimiter();
+  put(kCidOpen);
+  put(cid_number);
+  put(kBlobType);
+  frame.insert(frame.end(), blob.begin(), blob.end());
+  put("\r\n");
+  put_delimiter();
+  put("--\r\n");
   orb_.network().send(listen_, from, std::move(frame));
 }
 
-void Gateway::handle(const net::Address& from, HttpRequest& req) {
+void Gateway::handle(const net::Address& from, Connection& conn) {
+  const HttpRequest& req = conn.request;
   // ---- trace: adopt the caller's id or mint one; the gateway.request
   // span stays active across the whole translation, so the DII
   // invocation's client.request span nests under it.
@@ -287,18 +315,18 @@ void Gateway::handle(const net::Address& from, HttpRequest& req) {
   // ---- route ----
   const Route* route = routes_.find(req.target);
   if (route == nullptr) {
-    send_fault(from, req, 404, "maqs/NO_ROUTE",
+    send_fault(from, conn, 404, "maqs/NO_ROUTE",
                "no route for " + req.target, trace_id);
     return;
   }
   if (req.method != "POST") {
-    send_fault(from, req, 400, "maqs/BAD_METHOD",
+    send_fault(from, conn, 400, "maqs/BAD_METHOD",
                "route " + req.target + " requires POST", trace_id);
     return;
   }
   const auto exposure = exposures_.find(route->interface->name);
   if (exposure == exposures_.end()) {
-    send_fault(from, req, 404, "maqs/NOT_EXPOSED",
+    send_fault(from, conn, 404, "maqs/NOT_EXPOSED",
                "interface " + route->interface->name + " is not exposed",
                trace_id);
     return;
@@ -307,30 +335,30 @@ void Gateway::handle(const net::Address& from, HttpRequest& req) {
   // ---- body: JSON document, possibly inside a multipart container ----
   MtomContainer container;
   std::string_view json_text;
-  ContentType content_type;
-  if (const auto ct = req.header("content-type")) {
-    content_type = parse_content_type(*ct);
-  } else {
-    content_type.media_type = "application/json";
-  }
-  if (content_type.media_type == "multipart/related") {
-    auto parsed = parse_multipart_related(req.body, content_type.boundary);
+  const std::optional<std::string_view> content_type =
+      req.header("content-type");
+  if (content_type.has_value() &&
+      has_media_type(*content_type, "multipart/related")) {
+    auto parsed = parse_multipart_related(
+        req.body, parse_content_type(*content_type).boundary);
     if (!parsed.has_value()) {
-      send_fault(from, req, 400, "maqs/BAD_MULTIPART",
+      send_fault(from, conn, 400, "maqs/BAD_MULTIPART",
                  "malformed multipart/related container", trace_id);
       return;
     }
     container = *std::move(parsed);
     json_text = {reinterpret_cast<const char*>(container.root.data()),
                  container.root.size()};
-  } else if (content_type.media_type == "application/json" ||
-             content_type.media_type.empty()) {
+  } else if (!content_type.has_value() ||
+             has_media_type(*content_type, "application/json") ||
+             has_media_type(*content_type, "")) {
     json_text = {reinterpret_cast<const char*>(req.body.data()),
                  req.body.size()};
     if (json_text.empty()) json_text = "{}";
   } else {
-    send_fault(from, req, 400, "maqs/BAD_CONTENT_TYPE",
-               "unsupported content type " + content_type.media_type,
+    send_fault(from, conn, 400, "maqs/BAD_CONTENT_TYPE",
+               "unsupported content type " +
+                   parse_content_type(*content_type).media_type,
                trace_id);
     return;
   }
@@ -378,7 +406,7 @@ void Gateway::handle(const net::Address& from, HttpRequest& req) {
       }
     }
   } catch (const Error& e) {
-    send_fault(from, req, 400, "maqs/BAD_BODY", e.what(), trace_id);
+    send_fault(from, conn, 400, "maqs/BAD_BODY", e.what(), trace_id);
     return;
   }
 
@@ -403,15 +431,15 @@ void Gateway::handle(const net::Address& from, HttpRequest& req) {
     // Locally synthesized faults: the local_fault stage converted the
     // reply on the unwind; info.reply still names the cause.
     if (info.reply.exception == "maqs/CIRCUIT_OPEN") {
-      send_fault(from, req, 503, "maqs/CIRCUIT_OPEN",
+      send_fault(from, conn, 503, "maqs/CIRCUIT_OPEN",
                  "circuit breaker open for " + op.name, trace_id);
     } else {
-      send_fault(from, req, 504, "maqs/TIMEOUT",
+      send_fault(from, conn, 504, "maqs/TIMEOUT",
                  "upstream timed out on " + op.name, trace_id);
     }
     return;
   } catch (const Error& e) {
-    send_fault(from, req, 500, "maqs/GATEWAY_FAULT", e.what(), trace_id);
+    send_fault(from, conn, 500, "maqs/GATEWAY_FAULT", e.what(), trace_id);
     return;
   }
   util::BufferPool::instance().release(std::move(info.request.body));
@@ -429,76 +457,65 @@ void Gateway::handle(const net::Address& from, HttpRequest& req) {
       } catch (const cdr::CdrError&) {
         detail = "<unreadable exception body>";
       }
-      send_fault(from, req, 500, reply.exception, detail, trace_id);
+      send_fault(from, conn, 500, reply.exception, detail, trace_id);
       return;
     }
     case orb::ReplyStatus::kNoSuchObject:
     case orb::ReplyStatus::kBadOperation:
-      send_fault(from, req, 404, reply.exception, "no such object/operation",
+      send_fault(from, conn, 404, reply.exception, "no such object/operation",
                  trace_id);
       return;
     case orb::ReplyStatus::kSystemException:
       if (reply.exception.rfind(sched::kOverloadException, 0) == 0) {
-        send_fault(from, req, 503, sched::kOverloadException,
+        send_fault(from, conn, 503, sched::kOverloadException,
                    reply.exception, trace_id);
         return;
       }
       [[fallthrough]];
     default:
-      send_fault(from, req, 500, reply.exception, "upstream fault",
+      send_fault(from, conn, 500, reply.exception, "upstream fault",
                  trace_id);
       return;
   }
 
-  // ---- result -> JSON (or multipart for large blobs) ----
+  // ---- result -> JSON (or multipart for large blobs), written straight
+  // into the connection's body buffer ----
   try {
     const cdr::TypeCodePtr& result_type = op.result;
+    std::string& body = conn.text;
     if (is_blob(result_type)) {
       // Blob results bypass Any entirely: a borrowed view off the reply
-      // buffer, handed either to the multipart assembler (zero
-      // intermediate copies) or inlined as a JSON array.
+      // buffer, handed either to the multipart assembler (copied once,
+      // into the frame) or inlined as a JSON array.
       cdr::Decoder dec(reply.body);
       const util::BytesView blob = dec.read_bytes_view();
       dec.expect_end();
       if (wants_multipart(req) && blob.size() >= config_.mtom_threshold) {
-        const std::string cid = "r" + std::to_string(next_cid_);
-        JsonObject ref;
-        ref.emplace_back("$blob", JsonValue("cid:" + cid));
-        JsonObject root;
-        root.emplace_back("result", JsonValue(std::move(ref)));
-        send_mtom_response(from, req, write_json(JsonValue(std::move(root))),
-                           blob, trace_id);
+        send_mtom_response(from, conn, blob, trace_id);
         return;
       }
-      JsonArray items;
-      items.reserve(blob.size());
-      for (const std::uint8_t b : blob) {
-        items.push_back(JsonValue(static_cast<std::int64_t>(b)));
+      body.assign("{\"result\":[");
+      for (std::size_t i = 0; i < blob.size(); ++i) {
+        if (i != 0) body.push_back(',');
+        char digits[24];
+        body += decimal(blob[i], digits);
       }
-      JsonObject root;
-      root.emplace_back("result", JsonValue(std::move(items)));
-      HttpResponse resp;
-      resp.set_header("content-type", "application/json");
-      const std::string body = write_json(JsonValue(std::move(root)));
-      resp.body.assign(body.begin(), body.end());
-      send_response(from, req, std::move(resp), trace_id);
-      return;
+      body += "]}";
+    } else {
+      JsonValue result(nullptr);
+      if (result_type->kind() != cdr::TCKind::kVoid) {
+        cdr::Decoder dec(reply.body);
+        result = any_to_json(cdr::Any::decode_value(dec, result_type));
+        dec.expect_end();
+      }
+      body.assign("{\"result\":");
+      write_json(result, body);
+      body.push_back('}');
     }
-    JsonValue result(nullptr);
-    if (result_type->kind() != cdr::TCKind::kVoid) {
-      cdr::Decoder dec(reply.body);
-      result = any_to_json(cdr::Any::decode_value(dec, result_type));
-      dec.expect_end();
-    }
-    JsonObject root;
-    root.emplace_back("result", std::move(result));
-    HttpResponse resp;
-    resp.set_header("content-type", "application/json");
-    const std::string body = write_json(JsonValue(std::move(root)));
-    resp.body.assign(body.begin(), body.end());
-    send_response(from, req, std::move(resp), trace_id);
+    count_status(200);
+    send_json(from, 200, body, !req.keep_alive, trace_id);
   } catch (const Error& e) {
-    send_fault(from, req, 500, "maqs/BAD_REPLY", e.what(), trace_id);
+    send_fault(from, conn, 500, "maqs/BAD_REPLY", e.what(), trace_id);
   }
 }
 

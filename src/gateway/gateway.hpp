@@ -19,7 +19,13 @@
 //        trace id round-trips via the X-Trace-Id header)
 //     -> reply status mapped to HTTP (see exception table below)
 //     -> result as JSON, or multipart/related when a large blob result
-//        goes out-of-band (assembled in a borrowed ChainBuf region).
+//        goes out-of-band (blob copied once, straight into the frame).
+//
+// The HTTP edge allocates nothing per request in steady state: each
+// connection keeps its parsed request and a text buffer for response
+// bodies, and response frames are encoded in one pass into pooled
+// buffers. (The JSON document, Any values and the qos.class service
+// context still allocate; docs/architecture.md has the count.)
 //
 // Exception -> status mapping:
 //
@@ -45,7 +51,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/transform.hpp"
 #include "gateway/binding.hpp"
 #include "gateway/http.hpp"
 #include "gateway/mtom.hpp"
@@ -131,6 +136,8 @@ class Gateway {
  private:
   struct Connection {
     HttpParser parser;
+    HttpRequest request;  ///< refilled by every poll (keeps its capacity)
+    std::string text;     ///< response body / multipart head scratch
     sim::TimePoint last_activity = 0;
     bool handling = false;  ///< a nested invoke is pumping the loop
     bool closed = false;
@@ -144,21 +151,22 @@ class Gateway {
 
   void on_payload(const net::Address& from, const util::Bytes& payload);
   void drain(const net::Address& from, const ConnectionPtr& conn);
-  /// Handles one parsed request; sends the response frame(s) itself.
-  void handle(const net::Address& from, HttpRequest& req);
+  /// Handles conn.request; sends the response frame(s) itself.
+  void handle(const net::Address& from, Connection& conn);
 
-  /// Builds + sends a structured JSON fault response.
-  void send_fault(const net::Address& from, const HttpRequest& req,
-                  int status, std::string_view code, std::string_view detail,
+  /// Sends a JSON response frame: content-type, then x-trace-id when
+  /// `trace_id` is set, then retry-after on 503.
+  void send_json(const net::Address& from, int status, std::string_view body,
+                 bool close_connection, std::uint64_t trace_id);
+  /// Writes a structured JSON fault body into conn.text and sends it.
+  void send_fault(const net::Address& from, Connection& conn, int status,
+                  std::string_view code, std::string_view detail,
                   std::uint64_t trace_id);
-  void send_response(const net::Address& from, const HttpRequest& req,
-                     HttpResponse&& resp, std::uint64_t trace_id);
-  /// Assembles head + multipart container in one borrowed ChainBuf
-  /// region (blob part copied exactly once, straight off the reply
-  /// buffer) and sends the frame.
-  void send_mtom_response(const net::Address& from, const HttpRequest& req,
-                          std::string_view root_json, util::BytesView blob,
-                          std::uint64_t trace_id);
+  /// Writes the HTTP head and the multipart container straight into one
+  /// pooled frame (the blob part is copied exactly once, off the reply
+  /// buffer) and sends it.
+  void send_mtom_response(const net::Address& from, Connection& conn,
+                          util::BytesView blob, std::uint64_t trace_id);
 
   void count_status(int status);
   std::string qos_class_for(const HttpRequest& req) const;
@@ -171,7 +179,6 @@ class Gateway {
   std::unordered_map<std::string, Exposure> exposures_;  // by interface name
   std::unordered_map<std::string, std::string> tenants_;
   std::unordered_map<net::Address, ConnectionPtr> connections_;
-  core::TransformArena arena_;  ///< MTOM response assembly regions
   GatewayStats stats_;
   std::uint64_t next_cid_ = 0;
 };

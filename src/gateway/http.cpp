@@ -1,18 +1,34 @@
 #include "gateway/http.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
+#include <iterator>
+
+#include "util/buffer_pool.hpp"
 
 namespace maqs::gateway {
 
 namespace {
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
+using Headers = std::vector<std::pair<std::string, std::string>>;
+
+/// Folds ASCII letters to lowercase in place (header names are
+/// case-insensitive; other bytes pass through).
+void fold_lower(std::string& s) noexcept {
+  for (char& c : s) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+}
+
+/// True when `s` equals the lowercase `folded` ignoring ASCII case.
+bool equals_folded(std::string_view s, std::string_view folded) noexcept {
+  if (s.size() != folded.size()) return false;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    char c = s[i];
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    if (c != folded[i]) return false;
+  }
+  return true;
 }
 
 std::string_view trim(std::string_view s) {
@@ -25,9 +41,8 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-std::optional<std::string_view> find_header(
-    const std::vector<std::pair<std::string, std::string>>& headers,
-    std::string_view name) {
+std::optional<std::string_view> find_header(const Headers& headers,
+                                            std::string_view name) {
   for (const auto& [key, value] : headers) {
     if (key == name) return std::string_view(value);
   }
@@ -70,9 +85,17 @@ std::optional<std::size_t> parse_chunk_size(std::string_view s) {
 }
 
 /// Splits header lines out of `head` (which excludes the final empty
-/// line). Returns false on a malformed line.
-bool parse_header_lines(std::string_view head,
-                        std::vector<std::pair<std::string, std::string>>& out) {
+/// line) into `out`, overwriting its elements in place so that their
+/// strings keep their capacity from one message to the next. Returns false
+/// on a malformed line.
+bool parse_header_lines(std::string_view head, Headers& out) {
+  std::size_t lines = head.empty() ? 0 : 1;
+  for (auto eol = head.find("\r\n"); eol != std::string_view::npos;
+       eol = head.find("\r\n", eol + 2)) {
+    ++lines;
+  }
+  if (out.capacity() < lines) out.reserve(lines);
+  std::size_t n = 0;
   while (!head.empty()) {
     const auto eol = head.find("\r\n");
     const std::string_view line =
@@ -88,9 +111,64 @@ bool parse_header_lines(std::string_view head,
         name.find('\t') != std::string_view::npos) {
       return false;
     }
-    out.emplace_back(to_lower(name), std::string(trim(line.substr(colon + 1))));
+    if (n == out.size()) out.emplace_back();
+    auto& [key, value] = out[n++];
+    key.assign(name);
+    fold_lower(key);
+    value.assign(trim(line.substr(colon + 1)));
   }
+  out.resize(n);
   return true;
+}
+
+void append(util::Bytes& out, std::string_view s) {
+  out.insert(out.end(), s.begin(), s.end());
+}
+
+/// One pass over any header list whose names and values view as strings.
+template <typename HeaderList>
+util::Bytes encode_frame(int status, const HeaderList& headers,
+                         util::BytesView body, bool close_connection) {
+  constexpr std::string_view kClose = "connection: close\r\n";
+  char status_text[16];
+  const std::string_view status_digits(
+      status_text,
+      std::to_chars(std::begin(status_text), std::end(status_text), status)
+          .ptr);
+  char length_text[24];
+  const std::string_view length_digits(
+      length_text, std::to_chars(std::begin(length_text),
+                                 std::end(length_text), body.size())
+                       .ptr);
+  const std::string_view reason = status_reason(status);
+
+  std::size_t size = 9 + status_digits.size() + 1 + reason.size() + 2;
+  for (const auto& [name, value] : headers) {
+    size += std::string_view(name).size() + 2 +
+            std::string_view(value).size() + 2;
+  }
+  size += 16 + length_digits.size() + 2 +
+          (close_connection ? kClose.size() : 0) + 2 + body.size();
+
+  util::Bytes out = util::BufferPool::instance().acquire(size);
+  append(out, "HTTP/1.1 ");
+  append(out, status_digits);
+  out.push_back(' ');
+  append(out, reason);
+  append(out, "\r\n");
+  for (const auto& [name, value] : headers) {
+    append(out, name);
+    append(out, ": ");
+    append(out, value);
+    append(out, "\r\n");
+  }
+  append(out, "content-length: ");
+  append(out, length_digits);
+  append(out, "\r\n");
+  if (close_connection) append(out, kClose);
+  append(out, "\r\n");
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
 }
 
 }  // namespace
@@ -124,22 +202,12 @@ std::string_view status_reason(int status) noexcept {
 }
 
 util::Bytes HttpResponse::encode() const {
-  std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
-                     std::string(status_reason(status)) + "\r\n";
-  for (const auto& [name, value] : headers) {
-    head += name;
-    head += ": ";
-    head += value;
-    head += "\r\n";
-  }
-  head += "content-length: " + std::to_string(body.size()) + "\r\n";
-  if (close_connection) head += "connection: close\r\n";
-  head += "\r\n";
-  util::Bytes out;
-  out.reserve(head.size() + body.size());
-  out.insert(out.end(), head.begin(), head.end());
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  return encode_frame(status, headers, body, close_connection);
+}
+
+util::Bytes encode_response(int status, std::span<const HeaderView> headers,
+                            util::BytesView body, bool close_connection) {
+  return encode_frame(status, headers, body, close_connection);
 }
 
 // ---- HttpParser ----
@@ -195,10 +263,12 @@ bool HttpParser::parse_head(HttpRequest& out) {
     fail("malformed request line");
     return false;
   }
-  out = HttpRequest{};
-  out.method = std::string(request_line.substr(0, sp1));
-  out.target = std::string(request_line.substr(sp1 + 1, sp2 - sp1 - 1));
-  out.version = std::string(trim(request_line.substr(sp2 + 1)));
+  // Every field is overwritten (the object is recycled across requests;
+  // nothing of the previous request may survive).
+  out.method.assign(request_line.substr(0, sp1));
+  out.target.assign(request_line.substr(sp1 + 1, sp2 - sp1 - 1));
+  out.version.assign(trim(request_line.substr(sp2 + 1)));
+  out.body.clear();
   if (out.method.empty() || out.target.empty() || out.target[0] != '/' ||
       (out.version != "HTTP/1.1" && out.version != "HTTP/1.0")) {
     fail("malformed request line");
@@ -213,9 +283,8 @@ bool HttpParser::parse_head(HttpRequest& out) {
   }
   out.keep_alive = out.version == "HTTP/1.1";
   if (const auto conn = out.header("connection")) {
-    const std::string folded = to_lower(*conn);
-    if (folded == "close") out.keep_alive = false;
-    if (folded == "keep-alive") out.keep_alive = true;
+    if (equals_folded(*conn, "close")) out.keep_alive = false;
+    if (equals_folded(*conn, "keep-alive")) out.keep_alive = true;
   }
   consumed_ += head_end + 4;
   return true;
@@ -232,7 +301,7 @@ HttpParser::Result HttpParser::poll(HttpRequest& out) {
         const auto te = pending_.header("transfer-encoding");
         const auto cl = pending_.header("content-length");
         if (te.has_value()) {
-          if (to_lower(*te) != "chunked" || cl.has_value()) {
+          if (!equals_folded(*te, "chunked") || cl.has_value()) {
             return fail("unsupported transfer-encoding");
           }
           state_ = State::kChunkHeader;
@@ -246,8 +315,7 @@ HttpParser::Result HttpParser::poll(HttpRequest& out) {
         }
         if (length > kMaxBodyBytes) return fail("body exceeds limit");
         if (length == 0) {
-          out = std::move(pending_);
-          pending_ = HttpRequest{};
+          std::swap(out, pending_);
           return Result::kRequest;
         }
         body_remaining_ = length;
@@ -267,8 +335,7 @@ HttpParser::Result HttpParser::poll(HttpRequest& out) {
         body_remaining_ -= take;
         if (body_remaining_ > 0) return Result::kNeedMore;
         state_ = State::kHeaders;
-        out = std::move(pending_);
-        pending_ = HttpRequest{};
+        std::swap(out, pending_);
         return Result::kRequest;
       }
       case State::kChunkHeader: {
@@ -329,8 +396,7 @@ HttpParser::Result HttpParser::poll(HttpRequest& out) {
         consumed_ += end + 2;
         if (end != 0) break;  // a trailer field; keep scanning for blank
         state_ = State::kHeaders;
-        out = std::move(pending_);
-        pending_ = HttpRequest{};
+        std::swap(out, pending_);
         return Result::kRequest;
       }
     }
@@ -384,8 +450,9 @@ HttpResponseParser::Result HttpResponseParser::poll(HttpResponse& out) {
         }
         status = status * 10 + (code[static_cast<std::size_t>(i)] - '0');
       }
-      pending_ = HttpResponse{};
       pending_.status = status;
+      pending_.body.clear();
+      pending_.close_connection = false;
       const std::string_view header_block =
           line_end == std::string_view::npos ? std::string_view{}
                                              : head.substr(line_end + 2);
@@ -400,7 +467,7 @@ HttpResponseParser::Result HttpResponseParser::poll(HttpResponse& out) {
         length = *parsed;
       }
       if (length == 0) {
-        out = std::move(pending_);
+        std::swap(out, pending_);
         return Result::kResponse;
       }
       body_remaining_ = length;
@@ -417,7 +484,7 @@ HttpResponseParser::Result HttpResponseParser::poll(HttpResponse& out) {
     body_remaining_ -= take;
     if (body_remaining_ > 0) return Result::kNeedMore;
     in_body_ = false;
-    out = std::move(pending_);
+    std::swap(out, pending_);
     return Result::kResponse;
   }
 }

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -31,7 +32,9 @@
 namespace maqs::gateway {
 
 /// One parsed request. Header names are folded to lowercase; values keep
-/// their bytes with surrounding whitespace trimmed.
+/// their bytes with surrounding whitespace trimmed. The parser overwrites
+/// every field of a request it fills, so a caller may hand the same
+/// object to each poll() and the strings and vectors keep their capacity.
 struct HttpRequest {
   std::string method;
   std::string target;   // origin-form path, e.g. "/api/Echo/add"
@@ -57,6 +60,16 @@ struct HttpResponse {
   util::Bytes encode() const;
 };
 
+/// A response header given by reference (see encode_response).
+using HeaderView = std::pair<std::string_view, std::string_view>;
+
+/// Serializes status line + `headers` + Content-Length (+ "connection:
+/// close") + body in one pass into a frame sized exactly up front and
+/// taken from the buffer pool. HttpResponse::encode() is this over the
+/// response's own fields.
+util::Bytes encode_response(int status, std::span<const HeaderView> headers,
+                            util::BytesView body, bool close_connection);
+
 /// Canonical reason phrase for the subset of status codes the gateway
 /// emits; "Unknown" otherwise.
 std::string_view status_reason(int status) noexcept;
@@ -78,7 +91,9 @@ class HttpParser {
   void feed(util::BytesView data);
 
   /// Extracts the next complete request, if any. Call repeatedly until
-  /// kNeedMore (pipelining). After kError the parser stays poisoned.
+  /// kNeedMore (pipelining). After kError the parser stays poisoned and
+  /// `out` is left as it was. A completed request is swapped into `out`:
+  /// the parser keeps `out`'s old storage for the next one.
   Result poll(HttpRequest& out);
 
   bool poisoned() const noexcept { return poisoned_; }
@@ -111,6 +126,7 @@ class HttpResponseParser {
   enum class Result { kNeedMore, kResponse, kError };
 
   void feed(util::BytesView data);
+  /// Like HttpParser::poll: a completed response is swapped into `out`.
   Result poll(HttpResponse& out);
   const std::string& error() const noexcept { return error_; }
 

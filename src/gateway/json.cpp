@@ -98,6 +98,9 @@ class Parser {
       --depth_;
       return JsonValue(std::move(members));
     }
+    // Room for the small argument objects the gateway parses in one
+    // allocation instead of a growth sequence.
+    members.reserve(4);
     for (;;) {
       skip_ws();
       if (peek() != '"') fail("expected member name");
@@ -150,6 +153,10 @@ class Parser {
   std::string parse_string() {
     expect('"');
     std::string out;
+    // Sized to the next quote: exact for strings without escapes.
+    if (const auto end = text_.find('"', pos_); end != std::string_view::npos) {
+      out.reserve(end - pos_);
+    }
     for (;;) {
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
@@ -249,7 +256,9 @@ class Parser {
   int depth_ = 0;
 };
 
-void write_string(std::string_view s, std::string& out) {
+}  // namespace
+
+void write_json_string(std::string_view s, std::string& out) {
   out.push_back('"');
   for (const char c : s) {
     const auto b = static_cast<unsigned char>(c);
@@ -274,6 +283,8 @@ void write_string(std::string_view s, std::string& out) {
   out.push_back('"');
 }
 
+namespace {
+
 void write_number(double v, std::string& out) {
   if (!std::isfinite(v)) throw JsonError("json: non-finite number");
   char buf[32];
@@ -295,7 +306,7 @@ void write_json(const JsonValue& value, std::string& out) {
   } else if (value.is_double()) {
     write_number(value.as_number(), out);
   } else if (value.is_string()) {
-    write_string(value.as_string(), out);
+    write_json_string(value.as_string(), out);
   } else if (value.is_array()) {
     out.push_back('[');
     bool first = true;
@@ -311,7 +322,7 @@ void write_json(const JsonValue& value, std::string& out) {
     for (const auto& [name, member] : value.as_object()) {
       if (!first) out.push_back(',');
       first = false;
-      write_string(name, out);
+      write_json_string(name, out);
       out.push_back(':');
       write_json(member, out);
     }

@@ -104,7 +104,10 @@ JsonValue parse_json(std::string_view text);
 
 /// Deterministic writer: same value, same bytes. No added whitespace.
 std::string write_json(const JsonValue& value);
+/// Appends to `out`.
 void write_json(const JsonValue& value, std::string& out);
+/// Appends `s` as a JSON string literal (quoted, escaped as above).
+void write_json_string(std::string_view s, std::string& out);
 
 /// Any -> JSON per the binding table; throws JsonError for kinds with no
 /// JSON mapping (any, objref).

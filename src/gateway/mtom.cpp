@@ -70,6 +70,16 @@ ContentType parse_content_type(std::string_view header_value) {
   return out;
 }
 
+bool has_media_type(std::string_view header_value,
+                    std::string_view media_type) noexcept {
+  const std::string_view type =
+      trim(header_value.substr(0, header_value.find(';')));
+  return std::equal(type.begin(), type.end(), media_type.begin(),
+                    media_type.end(), [](unsigned char a, char b) {
+                      return static_cast<char>(std::tolower(a)) == b;
+                    });
+}
+
 std::optional<MtomContainer> parse_multipart_related(
     util::BytesView body, std::string_view boundary) {
   if (boundary.empty()) return std::nullopt;

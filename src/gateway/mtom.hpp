@@ -58,6 +58,12 @@ struct ContentType {
 };
 ContentType parse_content_type(std::string_view header_value);
 
+/// True when the media type of a Content-Type header value (before any
+/// parameters) equals `media_type` (given lowercase) ignoring ASCII case.
+/// The allocation-free check for routing a body by its type.
+bool has_media_type(std::string_view header_value,
+                    std::string_view media_type) noexcept;
+
 /// Parses a multipart/related body. Returns nullopt on any framing
 /// violation (the gateway answers 400). Views point into `body`.
 std::optional<MtomContainer> parse_multipart_related(util::BytesView body,

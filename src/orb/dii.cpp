@@ -61,6 +61,10 @@ util::Bytes encode_command_args(const std::vector<cdr::Any>& args) {
 std::vector<cdr::Any> decode_command_args(util::BytesView body) {
   cdr::Decoder dec(body);
   const std::uint32_t n = dec.read_u32();
+  // Each argument carries at least its typecode's kind octet.
+  if (n > dec.remaining()) {
+    throw cdr::CdrError("dii: argument count exceeds the body");
+  }
   std::vector<cdr::Any> args;
   args.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

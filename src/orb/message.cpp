@@ -38,6 +38,11 @@ void encode_context(cdr::Encoder& enc, const ServiceContext& context) {
 ServiceContext decode_context(cdr::Decoder& dec) {
   ServiceContext context;
   const std::uint32_t n = dec.read_u32();
+  // The count is peer input: every entry carries two length prefixes, so a
+  // count the frame cannot hold is rejected before anything is reserved.
+  if (n > dec.remaining() / 8) {
+    throw cdr::CdrError("message: service-context count exceeds the frame");
+  }
   context.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     // Well-formed peers send sorted keys, so each insert lands at the back;

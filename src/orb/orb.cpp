@@ -168,23 +168,23 @@ void Orb::add_pending(std::uint64_t id, ReplyHandler on_reply,
     timeout_reply.synthesized_locally = true;
     callback(std::move(timeout_reply));
   });
-  pending_index_[id] = pending_.size();
+  pending_index_.insert(id, static_cast<std::uint32_t>(pending_.size()));
   pending_.push_back(std::move(pending));
 }
 
 std::vector<Orb::Pending>::iterator Orb::find_pending(
     std::uint64_t id) noexcept {
-  const auto hit = pending_index_.find(id);
-  if (hit == pending_index_.end()) return pending_.end();
-  return pending_.begin() + static_cast<std::ptrdiff_t>(hit->second);
+  const std::uint32_t slot = pending_index_.find(id);
+  if (slot == util::FlatIndex::kNone) return pending_.end();
+  return pending_.begin() + static_cast<std::ptrdiff_t>(slot);
 }
 
 void Orb::pop_pending(std::vector<Pending>::iterator it) {
   pending_index_.erase(it->id);
   if (it != pending_.end() - 1) {
     *it = std::move(pending_.back());
-    pending_index_[it->id] =
-        static_cast<std::size_t>(it - pending_.begin());
+    pending_index_.insert(it->id,
+                          static_cast<std::uint32_t>(it - pending_.begin()));
   }
   pending_.pop_back();
 }

@@ -28,7 +28,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,6 +38,7 @@
 #include "orb/interceptor.hpp"
 #include "orb/ior.hpp"
 #include "orb/message.hpp"
+#include "util/flat_index.hpp"
 
 namespace maqs::trace {
 class TraceRecorder;
@@ -310,9 +310,11 @@ class Orb {
   // Flat store plus an id -> slot index. The vector keeps entries
   // contiguous (capacity reuse, cheap teardown iteration); the index keeps
   // reply matching O(1) — population runs hold thousands of requests in
-  // flight, where the old linear scan went quadratic per reply wave.
+  // flight, where the old linear scan went quadratic per reply wave. Both
+  // reuse their storage, so a steady request stream registers and retires
+  // entries without allocating.
   std::vector<Pending> pending_;
-  std::unordered_map<std::uint64_t, std::size_t> pending_index_;
+  util::FlatIndex pending_index_;
   sim::Duration default_timeout_ = 2 * sim::kSecond;
   OrbStats stats_;
 

@@ -1,6 +1,7 @@
 #include "sim/event_loop.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace maqs::sim {
@@ -12,67 +13,98 @@ EventId EventLoop::schedule(Duration delay, Handler fn) {
 
 EventId EventLoop::schedule_at(TimePoint when, Handler fn) {
   if (when < now_) when = now_;
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+    // free_slot() must not allocate: the free list can always hold every
+    // slot.
+    if (free_slots_.capacity() < slots_.capacity()) {
+      free_slots_.reserve(slots_.capacity());
+    }
+  }
   const EventId id = next_id_++;
-  queue_.push(Entry{when, next_seq_++, id, std::move(fn)});
+  slots_[slot].fn = std::move(fn);
+  slots_[slot].id = id;
+  live_.insert(id, slot);
+  heap_.push_back(Key{when, id, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return id;
 }
 
+void EventLoop::free_slot(std::uint32_t slot) noexcept {
+  slots_[slot].fn = nullptr;
+  slots_[slot].id = 0;
+  free_slots_.push_back(slot);
+}
+
 bool EventLoop::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  // We cannot remove from the middle of a priority queue; mark instead and
-  // skip on pop.
-  const bool inserted = cancelled_ids_.insert(id).second;
-  // Tombstones are normally reclaimed on pop, but when virtual time never
-  // reaches them (a tight loop arming and cancelling far-future timeouts,
-  // as every blocking RPC does) they would accumulate without bound.
-  // Compact once they dominate the queue; the rebuild amortizes to O(1)
-  // per cancel. The threshold is deliberately high: compacting eagerly
-  // keeps the heap vector tiny, which lets glibc return the arena's top
-  // pages to the kernel between requests when the workload also cycles
-  // large short-lived buffers — the resulting per-request page-fault churn
-  // costs far more than the tombstones (observed 2.5x on the woven
-  // bench_f4 path at a threshold of 64).
+  const std::uint32_t slot = live_.erase(id);
+  if (slot == util::FlatIndex::kNone) return false;
+  // Destroyed on return, after the bookkeeping: the handler's captures may
+  // themselves schedule or cancel events.
+  Handler dead = std::move(slots_[slot].fn);
+  free_slot(slot);
+  // The key stays in the heap until popped. Keys are trivially copyable
+  // and small, but when virtual time never reaches them (a tight loop
+  // arming and cancelling far-future timeouts, as every blocking RPC does)
+  // they would accumulate without bound. Compact once they dominate the
+  // heap; the rebuild amortizes to O(1) per cancel. The threshold is
+  // deliberately high: compacting eagerly keeps the heap tiny, which lets
+  // glibc return the arena's top pages to the kernel between requests when
+  // the workload also cycles large short-lived buffers — the resulting
+  // per-request page-fault churn costs far more than the stale keys
+  // (observed 2.5x on the woven bench_f4 path at a threshold of 64).
   // The ratio test alone is not enough: with a large *live* backlog (a
-  // population world keeps one armed far-future timer per client) the
-  // queue size drags the purge threshold up with it, and a long-horizon
-  // schedule-and-cancel loop grows the set to half the population before
-  // ever compacting. kMaxTombstones caps the set absolutely; the O(queue)
-  // sweep then amortizes to O(queue / kMaxTombstones) per cancel.
-  if (inserted && ((cancelled_ids_.size() > 1024 &&
-                    cancelled_ids_.size() * 2 > queue_.size()) ||
-                   cancelled_ids_.size() > kMaxTombstones)) {
+  // population world keeps one armed far-future timer per client) the heap
+  // size drags the threshold up with it, so kMaxTombstones caps the stale
+  // keys absolutely; the O(heap) sweep then amortizes to
+  // O(heap / kMaxTombstones) per cancel.
+  ++stale_;
+  if ((stale_ > 1024 && stale_ * 2 > heap_.size()) ||
+      stale_ > kMaxTombstones) {
     purge_cancelled();
   }
-  return inserted;
+  return true;
 }
 
 void EventLoop::purge_cancelled() {
-  std::vector<Entry>& entries = queue_.container();
-  std::erase_if(entries, [this](const Entry& entry) {
-    return cancelled_ids_.contains(entry.id);
+  std::erase_if(heap_, [this](const Key& key) {
+    return slots_[key.slot].id != key.id;
   });
-  std::make_heap(entries.begin(), entries.end(), Later{});
-  // Anything left in the set refers to an event that already ran (cancel
-  // after execution): stale either way.
-  cancelled_ids_.clear();
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  stale_ = 0;
+}
+
+bool EventLoop::run_next(TimePoint deadline) {
+  while (!heap_.empty() && heap_.front().when <= deadline) {
+    const Key key = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    Slot& slot = slots_[key.slot];
+    if (slot.id != key.id) {  // cancelled; the slot may have a new occupant
+      --stale_;
+      continue;
+    }
+    // Move, don't copy: the handler may own an in-flight message payload.
+    // Freeing the slot first makes a cancel() of this event from inside
+    // its own handler a no-op.
+    Handler fn = std::move(slot.fn);
+    live_.erase(key.id);
+    free_slot(key.slot);
+    now_ = key.when;
+    fn();
+    return true;
+  }
+  return false;
 }
 
 bool EventLoop::step() {
   for (;;) {
-    while (!queue_.empty()) {
-      // Move, don't copy: the handler may own an in-flight message payload,
-      // and top() only hands out a const ref. The moved-from entry keeps its
-      // scalar ordering fields, so the pop's sift stays well-defined.
-      Entry entry = std::move(const_cast<Entry&>(queue_.top()));
-      queue_.pop();
-      if (auto it = cancelled_ids_.find(entry.id); it != cancelled_ids_.end()) {
-        cancelled_ids_.erase(it);
-        continue;
-      }
-      now_ = entry.when;
-      entry.fn();
-      return true;
-    }
+    if (run_next(std::numeric_limits<TimePoint>::max())) return true;
     // The queue is about to drain: give the owner one chance to flush
     // deferred work. The guard keeps a hook that pumps the loop itself
     // (e.g. a blocking dispatch) from re-entering its own flush.
@@ -80,7 +112,7 @@ bool EventLoop::step() {
     in_drain_hook_ = true;
     const bool flushed = drain_hook_();
     in_drain_hook_ = false;
-    if (!flushed || queue_.empty()) return false;
+    if (!flushed || heap_.empty()) return false;
   }
 }
 
@@ -99,18 +131,7 @@ bool EventLoop::run_until(const std::function<bool()>& pred) {
 
 void EventLoop::run_for(Duration duration) {
   const TimePoint deadline = now_ + duration;
-  // step() would run the next *non-cancelled* event even when that event is
-  // past the deadline (cancelled entries at the queue head hide it), so pop
-  // explicitly here.
-  while (!queue_.empty() && queue_.top().when <= deadline) {
-    Entry entry = std::move(const_cast<Entry&>(queue_.top()));
-    queue_.pop();
-    if (auto it = cancelled_ids_.find(entry.id); it != cancelled_ids_.end()) {
-      cancelled_ids_.erase(it);
-      continue;
-    }
-    now_ = entry.when;
-    entry.fn();
+  while (run_next(deadline)) {
   }
   now_ = deadline;
 }

@@ -11,15 +11,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/clock.hpp"
+#include "util/flat_index.hpp"
 
 namespace maqs::sim {
 
-/// Identifies a scheduled event so it can be cancelled.
+/// Identifies a scheduled event so it can be cancelled. Ids are handed
+/// out in sequence (1, 2, 3, ...), one per schedule call, so the gap
+/// between two ids counts the events scheduled in between.
 using EventId = std::uint64_t;
 
 class EventLoop {
@@ -39,28 +40,22 @@ class EventLoop {
   /// Schedules `fn` at an absolute virtual time (past times run "now").
   EventId schedule_at(TimePoint when, Handler fn);
 
-  /// Cancels a pending event. Returns false if it already ran or never
-  /// existed. Cancelling during execution of the event itself is a no-op.
+  /// Cancels a pending event in O(1) and destroys its handler. Returns
+  /// false if it already ran, was already cancelled or never existed;
+  /// cancelling an event from inside its own handler is such a no-op.
   bool cancel(EventId id);
 
-  /// Number of pending (non-cancelled) events. Clamped: cancelling ids
-  /// that already ran leaves stale tombstones which may momentarily
-  /// outnumber queue entries.
-  std::size_t pending() const noexcept {
-    const std::size_t tombs = cancelled_ids_.size();
-    return queue_.size() > tombs ? queue_.size() - tombs : 0;
-  }
+  /// Number of pending (non-cancelled) events.
+  std::size_t pending() const noexcept { return heap_.size() - stale_; }
 
-  /// Cancelled-but-uncollected tombstones (observability; bounded by
-  /// kMaxTombstones + 1 at all times).
-  std::size_t cancelled_backlog() const noexcept {
-    return cancelled_ids_.size();
-  }
+  /// Heap keys of cancelled events not yet popped or compacted away
+  /// (observability; bounded by kMaxTombstones + 1 at all times).
+  std::size_t cancelled_backlog() const noexcept { return stale_; }
 
-  /// Hard ceiling on tombstone accumulation: cancel() compacts whenever
-  /// the set grows past this, independent of queue size, so a world with
-  /// a huge *live* backlog (a million armed client timers) cannot drag
-  /// the ratio-based purge threshold up with it.
+  /// Hard ceiling on stale keys: cancel() compacts the heap whenever they
+  /// grow past this, independent of heap size, so a world with a huge
+  /// *live* backlog (a million armed client timers) cannot drag the
+  /// ratio-based compaction threshold up with it.
   static constexpr std::size_t kMaxTombstones = 4096;
 
   /// Runs events until the queue is empty. Returns the number executed.
@@ -84,35 +79,47 @@ class EventLoop {
   void run_for(Duration duration);
 
  private:
-  struct Entry {
+  // Handlers live in a slot table (slots are recycled through a free
+  // list); the heap orders small trivially copyable keys that name their
+  // slot. The event id doubles as the FIFO sequence number and as the
+  // slot's generation tag: a key whose id no longer matches its slot's
+  // occupant belongs to a cancelled event and is skipped when popped.
+  struct Key {
     TimePoint when;
-    std::uint64_t seq;  // FIFO tie-break for simultaneous events
-    EventId id;
-    Handler fn;
+    EventId id;  // sequence number: FIFO tie-break for simultaneous events
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
+      return a.id > b.id;
     }
   };
-
-  /// Exposes the underlying container so purge_cancelled() can compact it.
-  struct Queue : std::priority_queue<Entry, std::vector<Entry>, Later> {
-    std::vector<Entry>& container() noexcept { return c; }
+  struct Slot {
+    Handler fn;
+    EventId id = 0;  // 0 = free
   };
 
   /// Pops and runs the earliest event; returns false if the queue is empty.
   bool step();
 
-  /// Removes cancelled entries still in the queue and rebuilds the heap.
+  /// Pops keys up to the first live one with when <= `deadline`, frees its
+  /// slot and runs its handler; returns false when no such event is left.
+  bool run_next(TimePoint deadline);
+
+  /// Returns a slot to the free list (its handler already moved out).
+  void free_slot(std::uint32_t slot) noexcept;
+
+  /// Drops stale keys and rebuilds the heap.
   void purge_cancelled();
 
   TimePoint now_ = 0;
-  std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
-  Queue queue_;
-  std::unordered_set<EventId> cancelled_ids_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  util::FlatIndex live_;  // pending event id -> slot, for cancel()
+  std::size_t stale_ = 0;  // cancelled keys still in heap_
   std::function<bool()> drain_hook_;
   bool in_drain_hook_ = false;
 };

@@ -1,5 +1,9 @@
 #include "util/buffer_pool.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <new>
+
 namespace maqs::util {
 
 BufferPool& BufferPool::instance() {
@@ -7,26 +11,47 @@ BufferPool& BufferPool::instance() {
   return pool;
 }
 
-Bytes BufferPool::acquire(std::size_t size_hint) {
-  // Best-fit, newest among equals: the smallest pooled buffer that still
-  // fits. Newest-first capacity-fit looks attractive (cache-warm), but it
-  // hands the largest buffers to the smallest requests; on a request cycle
-  // whose one big acquire runs *after* several small ones, the big buffers
-  // are always checked out by the time the big acquire arrives and it
-  // mallocs afresh every request. Best-fit keeps large capacities alive
-  // for large hints at the cost of scanning all (<= kMaxPooled) entries.
-  std::size_t best = free_.size();
-  for (std::size_t i = free_.size(); i-- > 0;) {
-    const std::size_t cap = free_[i].capacity();
-    if (cap < size_hint) continue;
-    if (best == free_.size() || cap < free_[best].capacity()) best = i;
+std::size_t BufferPool::class_of(std::size_t capacity) noexcept {
+  const unsigned octave = static_cast<unsigned>(std::bit_width(capacity)) - 1;
+  if (octave > kMaxOctave) return kClasses;
+  const std::size_t step = (capacity >> (octave - kStepBits)) - kSteps;
+  return (octave - kMinOctave) * kSteps + step;
+}
+
+std::size_t BufferPool::first_nonempty(std::size_t from) const noexcept {
+  for (std::size_t w = from / 64; w < kWords; ++w) {
+    std::uint64_t bits = nonempty_[w];
+    if (w == from / 64) bits &= ~std::uint64_t{0} << (from % 64);
+    if (bits != 0) {
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    }
   }
-  if (best != free_.size()) {
-    Bytes out = std::move(free_[best]);
-    if (best + 1 != free_.size()) free_[best] = std::move(free_.back());
-    free_.pop_back();
-    ++hits_;
-    return out;
+  return kClasses;
+}
+
+Bytes BufferPool::take(std::size_t cls) noexcept {
+  std::vector<Bytes>& bin = bins_[cls];
+  Bytes out = std::move(bin.back());
+  bin.pop_back();
+  if (bin.empty()) nonempty_[cls / 64] &= ~(std::uint64_t{1} << (cls % 64));
+  --pooled_;
+  pooled_bytes_ -= out.capacity();
+  ++hits_;
+  return out;
+}
+
+Bytes BufferPool::acquire(std::size_t size_hint) {
+  // The newest buffer of the hint's own class fits when its capacity
+  // reaches the hint; any buffer of a higher class fits outright, and the
+  // lowest such class wastes the least. Newest-first within a class keeps
+  // the cache-warm buffer in play.
+  const std::size_t cls = class_of(std::max(size_hint, kMaxTiny));
+  if (cls < kClasses) {
+    const std::vector<Bytes>& own = bins_[cls];
+    if (!own.empty() && own.back().capacity() >= size_hint) return take(cls);
+    if (const std::size_t above = first_nonempty(cls + 1); above < kClasses) {
+      return take(above);
+    }
   }
   ++misses_;
   Bytes out;
@@ -35,13 +60,28 @@ Bytes BufferPool::acquire(std::size_t size_hint) {
 }
 
 void BufferPool::release(Bytes&& buf) noexcept {
-  if (buf.capacity() < kMinUseful || free_.size() >= kMaxPooled) return;
+  const std::size_t capacity = buf.capacity();
+  if (capacity <= kMaxTiny) return;
+  const std::size_t cls = class_of(capacity);
+  if (cls >= kClasses || pooled_bytes_ + capacity > kMaxPooledBytes) return;
+  std::vector<Bytes>& bin = bins_[cls];
+  if (bin.size() >= kMaxPerClass) return;
   buf.clear();
-  free_.push_back(std::move(buf));
+  try {
+    bin.push_back(std::move(buf));
+  } catch (const std::bad_alloc&) {
+    return;  // the bin could not grow: the buffer is simply freed
+  }
+  nonempty_[cls / 64] |= std::uint64_t{1} << (cls % 64);
+  ++pooled_;
+  pooled_bytes_ += capacity;
 }
 
 void BufferPool::clear() noexcept {
-  free_.clear();
+  for (std::vector<Bytes>& bin : bins_) bin.clear();
+  nonempty_.fill(0);
+  pooled_ = 0;
+  pooled_bytes_ = 0;
   hits_ = 0;
   misses_ = 0;
 }

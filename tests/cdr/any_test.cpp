@@ -133,5 +133,16 @@ TEST(Any, ToStringForms) {
   EXPECT_EQ(Any::from_enum(color, 0).to_string(), "Color::r");
 }
 
+TEST(Any, DecodeRejectsHostileSequenceCount) {
+  // FF FF FF FF elements with nothing behind them: a typed error, not an
+  // attempt to reserve four billion Anys.
+  Encoder enc;
+  enc.write_u32(0xFFFFFFFFu);
+  Decoder dec(enc.buffer());
+  EXPECT_THROW(
+      Any::decode_value(dec, TypeCode::sequence_tc(TypeCode::long_tc())),
+      CdrError);
+}
+
 }  // namespace
 }  // namespace maqs::cdr

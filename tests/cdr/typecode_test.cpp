@@ -111,5 +111,47 @@ TEST(TypeCode, NestedSequenceRoundTrip) {
   EXPECT_TRUE(tc->equal(*TypeCode::decode(dec)));
 }
 
+TEST(TypeCode, DecodeRejectsHostileStructMemberCount) {
+  Encoder enc;
+  enc.write_u8(static_cast<std::uint8_t>(TCKind::kStruct));
+  enc.write_string("S");
+  enc.write_u32(0xFFFFFFFFu);
+  Decoder dec(enc.buffer());
+  EXPECT_THROW(TypeCode::decode(dec), CdrError);
+}
+
+TEST(TypeCode, DecodeRejectsHostileEnumeratorCount) {
+  Encoder enc;
+  enc.write_u8(static_cast<std::uint8_t>(TCKind::kEnum));
+  enc.write_string("E");
+  enc.write_u32(0xFFFFFFFFu);
+  Decoder dec(enc.buffer());
+  EXPECT_THROW(TypeCode::decode(dec), CdrError);
+}
+
+TEST(TypeCode, DecodeBoundsNestingDepth) {
+  // A megabyte of sequence kind octets used to recurse once per octet and
+  // overflow the stack; past kMaxDecodeDepth it is a typed error.
+  const util::Bytes hostile(1 << 20,
+                            static_cast<std::uint8_t>(TCKind::kSequence));
+  Decoder dec(hostile);
+  EXPECT_THROW(TypeCode::decode(dec), CdrError);
+
+  // Exactly at the bound still decodes.
+  TypeCodePtr deep = TypeCode::long_tc();
+  for (int i = 0; i < TypeCode::kMaxDecodeDepth; ++i) {
+    deep = TypeCode::sequence_tc(deep);
+  }
+  Encoder ok;
+  deep->encode(ok);
+  Decoder ok_dec(ok.buffer());
+  EXPECT_TRUE(TypeCode::decode(ok_dec)->equal(*deep));
+
+  Encoder too_deep;
+  TypeCode::sequence_tc(deep)->encode(too_deep);
+  Decoder too_deep_dec(too_deep.buffer());
+  EXPECT_THROW(TypeCode::decode(too_deep_dec), CdrError);
+}
+
 }  // namespace
 }  // namespace maqs::cdr

@@ -367,6 +367,38 @@ TEST_F(GatewayTest, TracePropagatesFromHeaderThroughInvocation) {
   EXPECT_EQ(root->detail, "POST /api/Echo/add");
 }
 
+TEST_F(GatewayTest, KeepAliveRequestsDoNotInheritHeaders) {
+  // The connection reuses one parsed request for all of its requests. The
+  // first carries a trace id (echoed back as x-trace-id); the second,
+  // pipelined behind it, carries none and must not be answered with one.
+  util::Bytes wire = HttpTestClient::encode_request(
+      "POST", "/api/Echo/add", "{\"a\":1,\"b\":2}", {{"x-trace-id", "abc123"}});
+  const util::Bytes second = HttpTestClient::encode_request(
+      "POST", "/api/Echo/echo", "{\"s\":\"hi\"}");
+  wire.insert(wire.end(), second.begin(), second.end());
+  web_.send_raw(wire);
+  const auto first_resp = web_.await_response();
+  const auto second_resp = web_.await_response();
+  ASSERT_TRUE(first_resp.has_value());
+  ASSERT_TRUE(second_resp.has_value());
+  EXPECT_EQ(text(*first_resp), "{\"result\":3}");
+  ASSERT_TRUE(first_resp->header("x-trace-id").has_value());
+  EXPECT_EQ(*first_resp->header("x-trace-id"), "0000000000abc123");
+  EXPECT_EQ(text(*second_resp), "{\"result\":\"hi\"}");
+  EXPECT_FALSE(second_resp->header("x-trace-id").has_value());
+
+  // A third request torn into one-byte reads: same answer, still no
+  // inherited header, and the connection stays open throughout.
+  const util::Bytes third = HttpTestClient::encode_request(
+      "POST", "/api/Echo/add", "{\"a\":5,\"b\":6}");
+  for (const std::uint8_t b : third) web_.send_raw(util::Bytes{b});
+  const auto third_resp = web_.await_response();
+  ASSERT_TRUE(third_resp.has_value());
+  EXPECT_EQ(text(*third_resp), "{\"result\":11}");
+  EXPECT_FALSE(third_resp->header("x-trace-id").has_value());
+  EXPECT_EQ(gw_.open_connections(), 1u);
+}
+
 TEST_F(GatewayTest, MintsTraceWhenNoHeader) {
   trace::TraceRecorder recorder(loop_);
   recorder.set_enabled(true);

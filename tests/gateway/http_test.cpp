@@ -212,5 +212,146 @@ TEST(HttpResponseParser, TornResponse) {
   }
 }
 
+TEST(HttpResponse, EncodeIsByteExact) {
+  HttpResponse resp;
+  resp.status = 404;
+  resp.set_header("content-type", "application/json");
+  resp.set_header("x-trace-id", "00000000000000ab");
+  resp.body = bytes("{}");
+  resp.close_connection = true;
+  const std::string expected =
+      "HTTP/1.1 404 Not Found\r\n"
+      "content-type: application/json\r\n"
+      "x-trace-id: 00000000000000ab\r\n"
+      "content-length: 2\r\n"
+      "connection: close\r\n"
+      "\r\n{}";
+  EXPECT_EQ(resp.encode(), bytes(expected));
+
+  const HeaderView headers[] = {{"content-type", "application/json"},
+                                {"x-trace-id", "00000000000000ab"}};
+  EXPECT_EQ(encode_response(404, headers, resp.body, true), bytes(expected));
+}
+
+// One HttpRequest is reused for every request of a keep-alive connection
+// (the parser swaps completed requests into it); nothing of an earlier
+// request may leak into a later one.
+
+/// The first request: two extra headers, a body, "connection: close".
+constexpr std::string_view kFirstRequest =
+    "POST /first HTTP/1.1\r\n"
+    "X-Trace-Id: 00000000000000ab\r\n"
+    "Connection: close\r\n"
+    "content-length: 6\r\n\r\n"
+    "abcdef";
+/// The second: fewer headers, a shorter body, keep-alive by default.
+constexpr std::string_view kSecondRequest =
+    "POST /second HTTP/1.1\r\n"
+    "content-length: 2\r\n\r\n"
+    "xy";
+
+void expect_first(const HttpRequest& req) {
+  EXPECT_EQ(req.target, "/first");
+  EXPECT_FALSE(req.keep_alive);
+  EXPECT_EQ(req.headers.size(), 3u);
+  EXPECT_TRUE(req.header("x-trace-id").has_value());
+  EXPECT_EQ(body_text(req), "abcdef");
+}
+
+void expect_second(const HttpRequest& req) {
+  EXPECT_EQ(req.method, "POST");
+  EXPECT_EQ(req.target, "/second");
+  EXPECT_TRUE(req.keep_alive);
+  ASSERT_EQ(req.headers.size(), 1u);
+  EXPECT_EQ(req.headers[0].first, "content-length");
+  EXPECT_FALSE(req.header("x-trace-id").has_value());
+  EXPECT_FALSE(req.header("connection").has_value());
+  EXPECT_EQ(body_text(req), "xy");
+}
+
+TEST(HttpParser, ReusedRequestInheritsNothingWhenPipelined) {
+  HttpParser parser;
+  parser.feed(bytes(std::string(kFirstRequest) + std::string(kSecondRequest) +
+                    std::string(kFirstRequest)));
+  HttpRequest req;
+  ASSERT_EQ(parser.poll(req), HttpParser::Result::kRequest);
+  expect_first(req);
+  ASSERT_EQ(parser.poll(req), HttpParser::Result::kRequest);
+  expect_second(req);
+  // And back: the storage the second request left behind is refilled.
+  ASSERT_EQ(parser.poll(req), HttpParser::Result::kRequest);
+  expect_first(req);
+  EXPECT_EQ(parser.poll(req), HttpParser::Result::kNeedMore);
+}
+
+TEST(HttpParser, ReusedRequestInheritsNothingAcrossTornReads) {
+  HttpParser parser;
+  HttpRequest req;
+  parser.feed(bytes(kFirstRequest));
+  ASSERT_EQ(parser.poll(req), HttpParser::Result::kRequest);
+  expect_first(req);
+  // The second request trickles in one byte per read; until it completes
+  // the caller's request still holds the first one, untouched.
+  for (std::size_t i = 0; i + 1 < kSecondRequest.size(); ++i) {
+    parser.feed(bytes(kSecondRequest.substr(i, 1)));
+    ASSERT_EQ(parser.poll(req), HttpParser::Result::kNeedMore) << "i=" << i;
+    expect_first(req);
+  }
+  parser.feed(bytes(kSecondRequest.substr(kSecondRequest.size() - 1)));
+  ASSERT_EQ(parser.poll(req), HttpParser::Result::kRequest);
+  expect_second(req);
+}
+
+TEST(HttpParser, ReusedRequestChunkedBodyStartsEmpty) {
+  HttpParser parser;
+  parser.feed(bytes(std::string(kFirstRequest) +
+                    "POST /chunked HTTP/1.1\r\n"
+                    "transfer-encoding: chunked\r\n\r\n"
+                    "2\r\nxy\r\n0\r\n\r\n"));
+  HttpRequest req;
+  ASSERT_EQ(parser.poll(req), HttpParser::Result::kRequest);
+  expect_first(req);
+  ASSERT_EQ(parser.poll(req), HttpParser::Result::kRequest);
+  EXPECT_EQ(req.target, "/chunked");
+  EXPECT_TRUE(req.keep_alive);
+  EXPECT_EQ(body_text(req), "xy");
+}
+
+TEST(HttpParser, PoisonAfterReuseLeavesLastRequestIntact) {
+  HttpParser parser;
+  HttpRequest req;
+  parser.feed(bytes(kSecondRequest));
+  ASSERT_EQ(parser.poll(req), HttpParser::Result::kRequest);
+  // Reuse once, then garbage framing on the next request.
+  parser.feed(bytes(kFirstRequest));
+  ASSERT_EQ(parser.poll(req), HttpParser::Result::kRequest);
+  expect_first(req);
+  parser.feed(bytes("BROKEN\r\n\r\n"));
+  EXPECT_EQ(parser.poll(req), HttpParser::Result::kError);
+  EXPECT_TRUE(parser.poisoned());
+  expect_first(req);
+  // Poisoned for good: further bytes, even a well-formed request, are
+  // ignored and the request object is never touched again.
+  parser.feed(bytes(kSecondRequest));
+  EXPECT_EQ(parser.poll(req), HttpParser::Result::kError);
+  expect_first(req);
+}
+
+TEST(HttpResponseParser, ReusedResponseInheritsNothing) {
+  HttpResponseParser parser;
+  parser.feed(bytes("HTTP/1.1 503 Service Unavailable\r\n"
+                    "retry-after: 1\r\ncontent-length: 5\r\n\r\nbusy!"
+                    "HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok"));
+  HttpResponse resp;
+  ASSERT_EQ(parser.poll(resp), HttpResponseParser::Result::kResponse);
+  EXPECT_EQ(resp.status, 503);
+  EXPECT_EQ(resp.body, bytes("busy!"));
+  ASSERT_EQ(parser.poll(resp), HttpResponseParser::Result::kResponse);
+  EXPECT_EQ(resp.status, 200);
+  EXPECT_EQ(resp.headers.size(), 1u);
+  EXPECT_FALSE(resp.header("retry-after").has_value());
+  EXPECT_EQ(resp.body, bytes("ok"));
+}
+
 }  // namespace
 }  // namespace maqs::gateway

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cdr/decoder.hpp"
+
 #include "net/network.hpp"
 #include "support/echo.hpp"
 
@@ -86,6 +88,11 @@ TEST_F(DiiTest, SendCommandWithoutTransportRaises) {
   EXPECT_THROW(
       send_command(client_, ref_.endpoint, "", "list_modules", {}),
       NoQosTransport);
+}
+
+TEST(DiiCommandArgs, DecodeRejectsHostileArgumentCount) {
+  const util::Bytes body = {0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_THROW(decode_command_args(body), cdr::CdrError);
 }
 
 }  // namespace

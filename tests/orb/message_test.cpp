@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cdr/decoder.hpp"
 #include "orb/exceptions.hpp"
 #include "util/bytes.hpp"
@@ -115,6 +117,23 @@ TEST(Message, StatusNames) {
   EXPECT_STREQ(reply_status_name(ReplyStatus::kOk), "OK");
   EXPECT_STREQ(reply_status_name(ReplyStatus::kNotNegotiated),
                "NOT_NEGOTIATED");
+}
+
+TEST(Message, DecodeRejectsHostileContextCount) {
+  // Empty context and body: the frame ends with the context count and the
+  // body length, four octets each. A count of FF FF FF FF must be a typed
+  // error, not a reservation of four billion entries.
+  RequestMessage req;
+  req.request_id = 1;
+  util::Bytes request_wire = req.encode();
+  std::fill_n(request_wire.end() - 8, 4, 0xFF);
+  EXPECT_THROW(RequestMessage::decode(request_wire), cdr::CdrError);
+
+  ReplyMessage rep;
+  rep.request_id = 1;
+  util::Bytes reply_wire = rep.encode();
+  std::fill_n(reply_wire.end() - 8, 4, 0xFF);
+  EXPECT_THROW(ReplyMessage::decode(reply_wire), cdr::CdrError);
 }
 
 }  // namespace

@@ -182,9 +182,9 @@ TEST(EventLoop, TombstoneBacklogStaysBoundedOverAMillionCancelCycles) {
   // Regression: with only the ratio-based purge, a large persistent live
   // backlog (here 100k armed far-future timers, standing in for one timer
   // per client in a population world) drags the purge threshold up with
-  // the queue size, and a long-horizon schedule-and-cancel loop grows
-  // cancelled_ids_ to half the population. The absolute cap must keep the
-  // tombstone set bounded regardless of how big the live queue is.
+  // the queue size, and a long-horizon schedule-and-cancel loop grows the
+  // stale keys to half the population. The absolute cap must keep them
+  // bounded regardless of how big the live queue is.
   EventLoop loop;
   int fired = 0;
   for (int i = 0; i < 100'000; ++i) {
@@ -215,6 +215,57 @@ TEST(EventLoop, StaleCancelsCannotUnderflowPending) {
   // tombstones it leaves must not wrap pending() below zero.
   for (EventId id : ids) loop.cancel(id);
   EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, CancelAfterRunReturnsFalseAndLeavesNoBacklog) {
+  EventLoop loop;
+  const EventId id = loop.schedule(1, [] {});
+  loop.run_until_idle();
+  EXPECT_FALSE(loop.cancel(id));
+  EXPECT_EQ(loop.cancelled_backlog(), 0u);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, CancelFromOwnHandlerReturnsFalse) {
+  EventLoop loop;
+  EventId self = 0;
+  bool cancelled = true;
+  self = loop.schedule(1, [&] { cancelled = loop.cancel(self); });
+  loop.run_until_idle();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(loop.cancelled_backlog(), 0u);
+}
+
+TEST(EventLoop, SimultaneousEventsRunFifoAcrossSlotReuse) {
+  // Cancelled events hand their handler slots back in LIFO order; events
+  // scheduled into recycled slots must still run in scheduling order.
+  EventLoop loop;
+  std::vector<int> order;
+  std::vector<EventId> doomed;
+  for (int i = 0; i < 4; ++i) doomed.push_back(loop.schedule(10, [] {}));
+  loop.schedule(10, [&] { order.push_back(0); });
+  for (const EventId id : doomed) ASSERT_TRUE(loop.cancel(id));
+  for (int i = 1; i < 6; ++i) {
+    loop.schedule(10, [&order, i] { order.push_back(i); });
+  }
+  loop.run_until_idle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(loop.cancelled_backlog(), 0u);
+}
+
+TEST(EventLoop, StaleKeyOfRecycledSlotIsSkipped) {
+  // The cancelled event's key is still queued (earlier) when its slot is
+  // reused; popping it must neither run the new occupant early nor
+  // advance virtual time to the cancelled timestamp.
+  EventLoop loop;
+  std::vector<TimePoint> ran_at;
+  const EventId early = loop.schedule(5, [] {});
+  ASSERT_TRUE(loop.cancel(early));
+  loop.schedule(20, [&] { ran_at.push_back(loop.now()); });
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_until_idle();
+  EXPECT_EQ(ran_at, (std::vector<TimePoint>{20}));
+  EXPECT_EQ(loop.cancelled_backlog(), 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <utility>
+#include <vector>
 
 namespace maqs::util {
 namespace {
@@ -64,6 +65,64 @@ TEST_F(BufferPoolTest, PoolSizeIsBounded) {
     pool.release(std::move(buf));
   }
   EXPECT_LE(pool.pooled(), 32u);
+}
+
+/// Steady-state hits of a request cycle over `order` that holds one
+/// buffer while acquiring the next (two live at a time), after one warm-up
+/// round.
+std::uint64_t steady_hits(const std::vector<std::size_t>& order) {
+  BufferPool& pool = BufferPool::instance();
+  pool.clear();
+  Bytes held;
+  std::uint64_t warm = 0;
+  for (int round = 0; round < 10; ++round) {
+    if (round == 1) warm = pool.hits();
+    for (const std::size_t size : order) {
+      Bytes next = pool.acquire(size);
+      next.resize(size);
+      pool.release(std::move(held));
+      held = std::move(next);
+    }
+  }
+  pool.release(std::move(held));
+  return pool.hits() - warm;
+}
+
+TEST_F(BufferPoolTest, SameHitsForCyclicAndShuffledOrder) {
+  // One size multiset straddling the small sizes; a best-fit scan over one
+  // shared free list hit every acquire in ascending order but only half of
+  // them in this shuffled order (small requests took the only fitting
+  // large buffer out from under the next large request).
+  const std::vector<std::size_t> cyclic = {33, 34, 51, 56, 68, 73, 95, 106};
+  const std::vector<std::size_t> shuffled = {106, 51, 73, 33, 68, 56, 95, 34};
+  const std::uint64_t all = 9 * cyclic.size();
+  EXPECT_EQ(steady_hits(cyclic), all);
+  EXPECT_EQ(steady_hits(shuffled), all);
+}
+
+TEST_F(BufferPoolTest, NeverRoundsCapacityUp) {
+  BufferPool& pool = BufferPool::instance();
+  for (const std::size_t size : {17u, 100u, 1000u, 4097u, 70000u}) {
+    const Bytes fresh = pool.acquire(size);
+    EXPECT_EQ(fresh.capacity(), size);
+  }
+}
+
+TEST_F(BufferPoolTest, ClassesAreBoundedSeparately) {
+  // A flood of one size fills only its own class: a different size's
+  // buffer is still pooled and found.
+  BufferPool& pool = BufferPool::instance();
+  Bytes big;
+  big.reserve(4096);
+  pool.release(std::move(big));
+  for (int i = 0; i < 100; ++i) {
+    Bytes small;
+    small.reserve(128);
+    pool.release(std::move(small));
+  }
+  EXPECT_EQ(pool.pooled(), BufferPool::kMaxPerClass + 1);
+  EXPECT_GE(pool.acquire(4000).capacity(), 4096u);
+  EXPECT_EQ(pool.misses(), 0u);
 }
 
 }  // namespace
